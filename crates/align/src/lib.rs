@@ -26,7 +26,4 @@ pub use cigar::{AlignOp, AlignStats};
 pub use exact::{gotoh_local, needleman_wunsch, smith_waterman, ExactAlignment};
 pub use gapped::{extend_gapped_both, extend_gapped_right, GappedExtension, GappedParams};
 pub use scoring::ScoringScheme;
-pub use ungapped::{
-    extend_hit, extend_hit_prepared, ungapped_score, ExtensionOutcome, OrderGuard, PreparedGuard,
-    UngappedParams,
-};
+pub use ungapped::{extend_hit, ungapped_score, ExtensionOutcome, OrderGuard, UngappedParams};

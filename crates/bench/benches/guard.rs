@@ -1,23 +1,17 @@
-//! Criterion benchmarks for the order-guard representations — the
-//! guard-specialization comparison behind `BENCH_index.json`'s
-//! `step2_guard_skewed` section.
+//! Criterion benchmarks for the order guard's fast path — the comparison
+//! behind `BENCH_index.json`'s `step2_guard_skewed` section.
 //!
-//! Three ways to answer "would the enumeration visit this candidate
-//! seed?" during step-2 extension, measured on the skewed dispersed-repeat
-//! benchmark at a single thread:
+//! Two ways to answer "would the enumeration visit this candidate seed?"
+//! during step-2 extension, measured on fully indexed banks of the skewed
+//! dispersed-repeat benchmark at a single thread:
 //!
-//! * `probe_baseline` — [`OrderGuard::OrderedIndexedProbe`], the seed
-//!   behaviour: two random-access bit-set probes per candidate;
-//! * `rolled_indexed` — [`OrderGuard::OrderedIndexed`], word cursors that
-//!   advance with the walk (one shift per step, bank-1 state hoisted out
-//!   of the X2 loop);
+//! * `probe_baseline` — [`OrderGuard::OrderedIndexed`]: two bit-set
+//!   probes per candidate, the guard masked or strided banks need;
 //! * `full_fast_path` — what `find_hsps` auto-selects on fully indexed
 //!   banks ([`OrderGuard::OrderedFull`]): no bit-set access at all.
 //!
-//! Two regimes: fully indexed banks (where the fast path is legal) and
-//! ~50 %-masked banks (where only the indexed guards are correct).
-//! All variants produce identical HSPs — asserted here so the comparison
-//! can never drift apart silently.
+//! Both produce identical HSPs — asserted here so the comparison can
+//! never drift apart silently.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oris_align::OrderGuard;
@@ -25,19 +19,8 @@ use oris_core::step2::{find_hsps, find_hsps_with_guard, select_guard};
 use oris_core::OrisConfig;
 use oris_index::{BankIndex, IndexConfig};
 
-fn skewed_banks() -> (oris_seqio::Bank, oris_seqio::Bank) {
-    oris_bench::skewed_pair(20, 10_000, 250)
-}
-
-fn serial_pool() -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-}
-
 fn bench_guard_fully_indexed(c: &mut Criterion) {
-    let (b1, b2) = skewed_banks();
+    let (b1, b2) = oris_bench::skewed_pair(20, 10_000, 250);
     let cfg = OrisConfig::default();
     let i1 = BankIndex::build(&b1, IndexConfig::full(cfg.w));
     let i2 = BankIndex::build(&b2, IndexConfig::full(cfg.w));
@@ -45,30 +28,24 @@ fn bench_guard_fully_indexed(c: &mut Criterion) {
         matches!(select_guard(&i1, &i2), OrderGuard::OrderedFull),
         "fully indexed banks must auto-select the fast path"
     );
-    let probe = OrderGuard::OrderedIndexedProbe {
+    let probe = OrderGuard::OrderedIndexed {
         idx1: &i1,
         idx2: &i2,
     };
-    let rolled = OrderGuard::OrderedIndexed {
-        idx1: &i1,
-        idx2: &i2,
-    };
-    // All three representations agree — the speedup is free, not lossy.
-    let reference = find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, probe);
+    // Both guards agree — the speedup is free, not lossy.
     assert_eq!(
-        reference,
-        find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, rolled)
+        find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, probe),
+        find_hsps(&b1, &i1, &b2, &i2, &cfg)
     );
-    assert_eq!(reference, find_hsps(&b1, &i1, &b2, &i2, &cfg));
 
-    let pool = serial_pool();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
     let mut g = c.benchmark_group("guard_step2_fully_indexed");
     g.sample_size(10);
     g.bench_function("probe_baseline", |b| {
         b.iter(|| pool.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, probe)))
-    });
-    g.bench_function("rolled_indexed", |b| {
-        b.iter(|| pool.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, rolled)))
     });
     g.bench_function("full_fast_path", |b| {
         b.iter(|| pool.install(|| find_hsps(&b1, &i1, &b2, &i2, &cfg)))
@@ -76,34 +53,5 @@ fn bench_guard_fully_indexed(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_guard_masked(c: &mut Criterion) {
-    let (b1, b2) = skewed_banks();
-    let cfg = OrisConfig::default();
-    let i1 = oris_bench::half_masked_index(&b1, cfg.w);
-    let i2 = oris_bench::half_masked_index(&b2, cfg.w);
-    assert!(
-        matches!(select_guard(&i1, &i2), OrderGuard::OrderedIndexed { .. }),
-        "masked banks must keep the indexed guard"
-    );
-    let probe = OrderGuard::OrderedIndexedProbe {
-        idx1: &i1,
-        idx2: &i2,
-    };
-    // The auto-selected rolled guard must reproduce the probe baseline.
-    let reference = find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, probe);
-    assert_eq!(reference, find_hsps(&b1, &i1, &b2, &i2, &cfg));
-
-    let pool = serial_pool();
-    let mut g = c.benchmark_group("guard_step2_masked_half");
-    g.sample_size(10);
-    g.bench_function("probe_baseline", |b| {
-        b.iter(|| pool.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, probe)))
-    });
-    g.bench_function("rolled_indexed", |b| {
-        b.iter(|| pool.install(|| find_hsps(&b1, &i1, &b2, &i2, &cfg)))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_guard_fully_indexed, bench_guard_masked);
+criterion_group!(benches, bench_guard_fully_indexed);
 criterion_main!(benches);

@@ -6,9 +6,7 @@
 //! enumeration vs the A1 hash-dedup ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use oris_align::OrderGuard;
 use oris_blast::BlastConfig;
-use oris_core::step2::PartitionStrategy;
 use oris_core::OrisConfig;
 use oris_index::{BankIndex, IndexConfig};
 
@@ -56,92 +54,5 @@ fn bench_step2_variants(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scheduling comparison on the paper's worst case: EST banks carry long
-/// poly-A runs, so nearly all pair work sits in a handful of seed codes.
-/// Equal-width code ranges strand that work on one rayon chunk; the
-/// work-balanced partition spreads it.
-fn bench_step2_scheduling(c: &mut Criterion) {
-    let (b1, b2) = banks();
-    let cfg = OrisConfig::default();
-    let i1 = BankIndex::build(&b1, IndexConfig::full(cfg.w));
-    let i2 = BankIndex::build(&b2, IndexConfig::full(cfg.w));
-    let guard = OrderGuard::OrderedIndexed {
-        idx1: &i1,
-        idx2: &i2,
-    };
-
-    let mut g = c.benchmark_group("step2_scheduling");
-    g.sample_size(10);
-    g.bench_function("equal_width", |b| {
-        b.iter(|| {
-            oris_core::step2::find_hsps_partitioned(
-                &b1,
-                &i1,
-                &b2,
-                &i2,
-                &cfg,
-                guard,
-                PartitionStrategy::EqualWidth,
-            )
-        })
-    });
-    g.bench_function("work_balanced", |b| {
-        b.iter(|| {
-            oris_core::step2::find_hsps_partitioned(
-                &b1,
-                &i1,
-                &b2,
-                &i2,
-                &cfg,
-                guard,
-                PartitionStrategy::WorkBalanced,
-            )
-        })
-    });
-    g.finish();
-}
-
-/// Layout comparison on the skewed-seed benchmark: the same step-2
-/// enumeration walking linked `next` chains (the Figure-2 literal layout
-/// this PR replaced) vs streaming CSR slices.
-fn bench_step2_layout(c: &mut Criterion) {
-    let (b1, b2) = oris_bench::skewed_pair(50, 40_000, 250);
-    let cfg = OrisConfig::default();
-    let l1 = oris_index::LinkedBankIndex::build(&b1, IndexConfig::full(cfg.w));
-    let l2 = oris_index::LinkedBankIndex::build(&b2, IndexConfig::full(cfg.w));
-    let i1 = BankIndex::build(&b1, IndexConfig::full(cfg.w));
-    let i2 = BankIndex::build(&b2, IndexConfig::full(cfg.w));
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-
-    let mut g = c.benchmark_group("step2_layout_skewed");
-    g.sample_size(10);
-    g.bench_function("linked_chains", |b| {
-        b.iter(|| oris_bench::find_hsps_linked_reference(&b1, &l1, &b2, &l2, &i1, &i2, &cfg))
-    });
-    // Explicit OrderedIndexed (not find_hsps' auto-selection, which picks
-    // the probe-free fast path on these fully indexed banks): the linked
-    // reference runs the same guard, so this group isolates the *layout*
-    // difference. The guard representations have their own bench (guard.rs).
-    let guard = OrderGuard::OrderedIndexed {
-        idx1: &i1,
-        idx2: &i2,
-    };
-    g.bench_function("csr_slices", |b| {
-        b.iter(|| {
-            pool.install(|| oris_core::step2::find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard))
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_step2_variants,
-    bench_step2_scheduling,
-    bench_step2_layout
-);
+criterion_group!(benches, bench_engines, bench_step2_variants);
 criterion_main!(benches);

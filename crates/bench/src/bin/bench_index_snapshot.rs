@@ -1,30 +1,16 @@
-//! Perf snapshot for the occurrence-index layout, step-2 scheduling and
-//! the order-guard representations.
+//! Perf snapshot for the occurrence index, step 2 and the result paths.
 //!
-//! Measures the "before vs after" of the CSR flattening PR and of the
-//! guard-specialization PR:
-//!
-//! * **before** — the linked (Figure-2 literal) layout: chain-walking
-//!   step 2, `4·len(SEQ)`-byte `next` array, equal-width scheduling, and
-//!   the always-probing `OrderedIndexed` guard (two random-access bit-set
-//!   loads per candidate seed);
-//! * **after** — the CSR layout: slice-streaming step 2,
-//!   `4·indexed_positions`-byte postings, work-balanced scheduling, and
-//!   guard specialization (probe-free `OrderedFull` fast path on fully
-//!   indexed banks, rolled word-cursor guard under masking).
-//!
-//! Seven sections: index build time + heap bytes (EST bank, full and
-//! asymmetric), the CSR build-strategy comparison (full-sweep counting
-//! sort vs the radix-partitioned build, on a large and a small bank),
-//! step 2 on the skewed-seed benchmark (linked chains vs CSR slices,
-//! identical extensions and guard), scheduling (equal-width vs
-//! work-balanced) per thread count, the guard comparison (probe baseline
-//! vs rolled vs fast path, fully indexed and half-masked), the
-//! prepared-reuse benchmark (N query banks against one prepared subject:
-//! per-query subject rebuild vs one session build, outputs asserted
-//! identical), and the streaming-batch benchmark (collect-everything vs
-//! the sink-driven `Session::run_batch` path: peak live allocation read
-//! from a counting global allocator, outputs asserted byte-identical).
+//! Sections: index heap bytes (EST bank, full and asymmetric), the
+//! dense/sparse index-backend comparison (build time, footprint and
+//! serial step 2, outputs asserted identical), the guard fast path on the
+//! skewed-seed benchmark (the probing `OrderedIndexed` guard vs the
+//! auto-selected probe-free `OrderedFull`, outputs asserted identical),
+//! the prepared-reuse benchmark (N query banks against one prepared
+//! subject: per-query subject rebuild vs one session build, outputs
+//! asserted identical), the streaming-batch benchmark (collect-everything
+//! vs the sink-driven `Session::run_batch` path: peak live allocation
+//! read from a counting global allocator, outputs asserted
+//! byte-identical), and the sharded-database scale and serving sections.
 //!
 //! Writes `BENCH_index.json` (repo root by default; `--out PATH` to
 //! override, `--scale F` for the EST bank size) so future PRs have a perf
@@ -36,13 +22,11 @@ use oris_obs::Stopwatch;
 use std::fmt::Write as _;
 
 use oris_align::OrderGuard;
-use oris_bench::{find_hsps_linked_reference, half_masked_index, skewed_pair, CountingAlloc};
-use oris_core::step2::{
-    find_hsps, find_hsps_partitioned, find_hsps_with_guard, select_guard, PartitionStrategy,
-};
+use oris_bench::{skewed_pair, CountingAlloc};
+use oris_core::step2::{find_hsps, find_hsps_with_guard, select_guard};
 use oris_core::{compare_banks, OrisConfig, OrisResult, Session, StreamWriter};
 use oris_eval::M8Writer;
-use oris_index::{BankIndex, BuildStrategy, IndexBackend, IndexConfig, LinkedBankIndex};
+use oris_index::{BankIndex, IndexBackend, IndexConfig};
 
 /// Every allocation in this binary flows through the counting allocator,
 /// so the `streaming_batch` section can report peak *live* bytes per
@@ -99,36 +83,11 @@ fn main() {
         (50, 40_000, 250)
     };
 
-    // ---- layout: build time and footprint (EST bank) --------------------
-    let (t_linked_build, t_csr_build) = time2(
-        reps,
-        || LinkedBankIndex::build(&est, IndexConfig::full(w)),
-        || BankIndex::build(&est, IndexConfig::full(w)),
-    );
-    let linked = LinkedBankIndex::build(&est, IndexConfig::full(w));
+    // ---- index footprint (EST bank) --------------------------------------
     let csr = BankIndex::build(&est, IndexConfig::full(w));
-    // The linked layout's next[] is sized by the bank, so its asymmetric
-    // footprint equals its full footprint; the CSR postings halve.
+    // The CSR postings halve under the asymmetric stride.
     let csr_asym = BankIndex::build(&est, IndexConfig::asymmetric(w));
-
-    // ---- build strategies: full-sweep vs radix-partitioned --------------
-    // Large bank: postings work dominates, the strategies should be close.
-    // Small bank: the full sweep's serial 4^W prefix-sum dominates — the
-    // regime the radix partitioning exists for.
-    let build_with = |bank: &oris_seqio::Bank, strategy: BuildStrategy| {
-        BankIndex::build_filtered_with(bank, IndexConfig::full(w), |_| false, strategy)
-    };
-    let (t_sweep_est, t_radix_est) = time2(
-        reps,
-        || build_with(&est, BuildStrategy::FullSweep),
-        || build_with(&est, BuildStrategy::RadixPartitioned),
-    );
     let small = oris_simulate::random_bank(11, 20, 500, 0.5);
-    let (t_sweep_small, t_radix_small) = time2(
-        reps.max(20),
-        || build_with(&small, BuildStrategy::FullSweep),
-        || build_with(&small, BuildStrategy::RadixPartitioned),
-    );
 
     // Single-worker pool shared by every serial-timed section.
     let serial = rayon::ThreadPoolBuilder::new()
@@ -222,125 +181,33 @@ fn main() {
         }
     }
 
-    // ---- step 2 on the skewed-seed benchmark ----------------------------
+    // ---- guard fast path on the skewed benchmark ------------------------
+    // Fully indexed banks: the probing OrderedIndexed guard (two bit-set
+    // loads per candidate seed) vs the auto-selected probe-free
+    // OrderedFull fast path, asserted output-identical.
     let (b1, b2) = skewed_pair(skew_q, skew_s, skew_len);
     let cfg = OrisConfig::default();
     let icfg = IndexConfig::full(cfg.w);
-    let l1 = LinkedBankIndex::build(&b1, icfg);
-    let l2 = LinkedBankIndex::build(&b2, icfg);
     let i1 = BankIndex::build(&b1, icfg);
     let i2 = BankIndex::build(&b2, icfg);
-    // Both sides run the rolled OrderedIndexed guard (not find_hsps'
-    // auto-selection, which would pick the probe-free fast path here), so
-    // this comparison isolates the *layout* difference; the guard
-    // representations get their own section below.
-    let guard_rolled = OrderGuard::OrderedIndexed {
-        idx1: &i1,
-        idx2: &i2,
-    };
-    let (t_step2_linked, t_step2_csr) = time2(
-        reps,
-        || find_hsps_linked_reference(&b1, &l1, &b2, &l2, &i1, &i2, &cfg),
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_rolled)),
-    );
-
-    // ---- guard representations on the skewed benchmark ------------------
-    // Fully indexed: the seed's always-probing behaviour vs the rolled
-    // register vs the auto-selected probe-free fast path. The probe
-    // baseline is measured once per paired comparison (time2 cancels
-    // clock drift within a pair, not across pairs), and both probe
-    // timings are published so every emitted speedup is reproducible
-    // from the snapshot's own numbers: fast_path_speedup =
-    // probe_baseline_secs / full_fast_path_secs, rolled_speedup =
-    // probe_baseline_rerun_secs / rolled_indexed_secs.
-    let guard_probe = OrderGuard::OrderedIndexedProbe {
-        idx1: &i1,
-        idx2: &i2,
-    };
     assert!(
         matches!(select_guard(&i1, &i2), OrderGuard::OrderedFull),
         "fully indexed banks must auto-select OrderedFull"
+    );
+    let guard_probe = OrderGuard::OrderedIndexed {
+        idx1: &i1,
+        idx2: &i2,
+    };
+    assert_eq!(
+        find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_probe),
+        find_hsps(&b1, &i1, &b2, &i2, &cfg),
+        "the fast path must reproduce the indexed guard"
     );
     let (t_guard_probe, t_guard_full) = time2(
         reps,
         || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_probe)),
         || serial.install(|| find_hsps(&b1, &i1, &b2, &i2, &cfg)),
     );
-    let (t_guard_probe2, t_guard_rolled) = time2(
-        reps,
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_probe)),
-        || serial.install(|| find_hsps_with_guard(&b1, &i1, &b2, &i2, &cfg, guard_rolled)),
-    );
-    // Half-masked banks: the fast path is illegal; probe vs rolled.
-    let m1 = half_masked_index(&b1, cfg.w);
-    let m2 = half_masked_index(&b2, cfg.w);
-    assert!(
-        matches!(select_guard(&m1, &m2), OrderGuard::OrderedIndexed { .. }),
-        "masked banks must keep the indexed guard"
-    );
-    let masked_probe = OrderGuard::OrderedIndexedProbe {
-        idx1: &m1,
-        idx2: &m2,
-    };
-    let (t_masked_probe, t_masked_rolled) = time2(
-        reps,
-        || serial.install(|| find_hsps_with_guard(&b1, &m1, &b2, &m2, &cfg, masked_probe)),
-        || serial.install(|| find_hsps(&b1, &m1, &b2, &m2, &cfg)),
-    );
-
-    // ---- scheduling: equal-width vs work-balanced per thread count ------
-    let guard = guard_rolled;
-    let mut sched_rows = String::new();
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut threads_list: Vec<usize> = [1usize, 2, 4, 8].into_iter().filter(|&t| t <= hw).collect();
-    if threads_list.is_empty() {
-        threads_list.push(1);
-    }
-    for (i, &threads) in threads_list.iter().enumerate() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let (t_naive, t_balanced) = time2(
-            reps,
-            || {
-                pool.install(|| {
-                    find_hsps_partitioned(
-                        &b1,
-                        &i1,
-                        &b2,
-                        &i2,
-                        &cfg,
-                        guard,
-                        PartitionStrategy::EqualWidth,
-                    )
-                })
-            },
-            || {
-                pool.install(|| {
-                    find_hsps_partitioned(
-                        &b1,
-                        &i1,
-                        &b2,
-                        &i2,
-                        &cfg,
-                        guard,
-                        PartitionStrategy::WorkBalanced,
-                    )
-                })
-            },
-        );
-        let comma = if i + 1 < threads_list.len() { "," } else { "" };
-        writeln!(
-            sched_rows,
-            "    {{\"threads\": {threads}, \"equal_width_secs\": {t_naive:.6}, \
-             \"work_balanced_secs\": {t_balanced:.6}, \"speedup\": {:.3}}}{comma}",
-            t_naive / t_balanced
-        )
-        .unwrap();
-    }
 
     // ---- prepared reuse: N query banks vs one prepared subject ----------
     // The intensive-comparison scenario the engine exists for: a stream
@@ -735,14 +602,6 @@ fn main() {
         "{{\n  \"bench\": \"index_layout_and_step2_scheduling\",\n  \
          \"est_scale\": {scale},\n  \"est_residues\": {},\n  \
          \"w\": {w},\n  \"est_indexed_positions\": {},\n  \
-         \"build_est\": {{\n    \"linked_secs\": {t_linked_build:.6},\n    \
-         \"csr_secs\": {t_csr_build:.6}\n  }},\n  \
-         \"csr_build_strategy\": {{\n    \
-         \"est\": {{\n      \"full_sweep_secs\": {t_sweep_est:.6},\n      \
-         \"radix_secs\": {t_radix_est:.6},\n      \"radix_speedup\": {:.3}\n    }},\n    \
-         \"small_bank\": {{\n      \"residues\": {},\n      \
-         \"full_sweep_secs\": {t_sweep_small:.6},\n      \
-         \"radix_secs\": {t_radix_small:.6},\n      \"radix_speedup\": {:.3}\n    }}\n  }},\n  \
          \"index_backend\": [\n{backend_rows}  ],\n  \
          \"prepared_reuse\": {{\n    \"queries\": {num_queries},\n    \
          \"subject_residues\": {},\n    \
@@ -790,30 +649,15 @@ fn main() {
          \"obs_on_secs\": {t_obs_on:.6},\n    \
          \"obs_overhead\": {obs_overhead:.4},\n    \
          \"outputs_identical\": true\n  }},\n  \
-         \"heap_bytes_est\": {{\n    \"linked_full\": {},\n    \
+         \"heap_bytes_est\": {{\n    \
          \"csr_full\": {},\n    \"csr_asymmetric\": {}\n  }},\n  \
-         \"step2_skewed\": {{\n    \"query_residues\": {},\n    \
-         \"subject_residues\": {},\n    \
-         \"linked_chain_secs\": {t_step2_linked:.6},\n    \
-         \"csr_slice_secs\": {t_step2_csr:.6},\n    \"speedup\": {:.3}\n  }},\n  \
          \"step2_guard_skewed\": {{\n    \
          \"fully_indexed\": {{\n      \
          \"probe_baseline_secs\": {t_guard_probe:.6},\n      \
          \"full_fast_path_secs\": {t_guard_full:.6},\n      \
-         \"fast_path_speedup\": {:.3},\n      \
-         \"probe_baseline_rerun_secs\": {t_guard_probe2:.6},\n      \
-         \"rolled_indexed_secs\": {t_guard_rolled:.6},\n      \
-         \"rolled_speedup\": {:.3}\n    }},\n    \
-         \"masked_half\": {{\n      \
-         \"probe_baseline_secs\": {t_masked_probe:.6},\n      \
-         \"rolled_indexed_secs\": {t_masked_rolled:.6},\n      \
-         \"rolled_speedup\": {:.3}\n    }}\n  }},\n  \
-         \"step2_scheduling_skewed\": [\n{sched_rows}  ]\n}}\n",
+         \"fast_path_speedup\": {:.3}\n    }}\n  }}\n}}\n",
         est.num_residues(),
         csr.indexed_positions(),
-        t_sweep_est / t_radix_est,
-        small.num_residues(),
-        t_sweep_small / t_radix_small,
         est.num_residues(),
         t_reuse_naive / t_reuse_session,
         batch_queries.len(),
@@ -824,15 +668,9 @@ fn main() {
             .sum::<usize>(),
         collect_peak as f64 / (stream_peak.max(1)) as f64,
         batch_queries.len() as f64 / t_batch_stream,
-        linked.heap_bytes(),
         csr.heap_bytes(),
         csr_asym.heap_bytes(),
-        b1.num_residues(),
-        b2.num_residues(),
-        t_step2_linked / t_step2_csr,
         t_guard_probe / t_guard_full,
-        t_guard_probe2 / t_guard_rolled,
-        t_masked_probe / t_masked_rolled,
     );
     std::fs::write(&out_path, &json).expect("failed to write snapshot");
     print!("{json}");

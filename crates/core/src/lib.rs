@@ -105,11 +105,9 @@
 //! The "perspectives" section of the paper observes that "the outer loop
 //! of step 2 which considers all the possible 4^W seeds can be run in
 //! parallel since seed order prevents identical HSPs to be generated".
-//! [`step2::find_hsps`] implements exactly that with rayon, partitioning
-//! the seed-code space by estimated work (the per-code `|X1|·|X2|` pair
-//! product read from the CSR index offsets — see
-//! [`step2::PartitionStrategy`]); [`step3`] parallelizes over
-//! sequence-pair groups.
+//! [`step2::find_hsps`] implements exactly that with rayon, splitting the
+//! seed-code space into contiguous equal-width ranges; [`step3`]
+//! parallelizes over sequence-pair groups.
 //! Both are bit-for-bit deterministic regardless of thread count (verified
 //! by tests).
 //!

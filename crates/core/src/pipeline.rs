@@ -213,7 +213,6 @@ pub(crate) fn run_prepared_pipeline_into(
         idx2,
         cfg,
         step2::select_guard(idx1, idx2),
-        step2::PartitionStrategy::default(),
         deadline,
     )?;
     drop(step2_span);

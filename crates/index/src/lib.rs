@@ -22,10 +22,9 @@
 //!   W = 11 without a 16.8 MB offsets array). `IndexBackend::Auto` (the
 //!   default) picks per build by density; results are byte-identical
 //!   either way (see `structure` module docs for the memory model).
-//!   Dense construction is a radix-partitioned counting sort by default
-//!   ([`BuildStrategy`]): codes are partitioned by high bits and each
-//!   partition prefix-sums its own offsets stretch; sparse construction
-//!   is one stable sort of the postings by code, independent of `4^W`.
+//!   Dense construction is one counting sort over the code space (count,
+//!   prefix-sum, scatter); sparse construction is one stable sort of the
+//!   postings by code, independent of `4^W`.
 //! * [`persist`]: the on-disk index format (magic + version + config +
 //!   little-endian array sections, each starting on an 8-byte file
 //!   offset). Both backends serialize — a header flag selects the
@@ -43,8 +42,6 @@
 //!   [`AttachMode`] selects between the mapped and heap-copy loaders;
 //!   both verify the same checksum and structural invariants and are
 //!   equivalence-tested.
-//! * [`LinkedBankIndex`]: the literal linked layout of Figure 2, retained
-//!   as a benchmark baseline for the layout comparison.
 //! * Asymmetric indexing (section 3.4): index only every other W-mer of one
 //!   bank, the paper's remedy for sensitivity loss with shorter seeds. In
 //!   the CSR layout this halves the postings bytes too, not just the
@@ -53,7 +50,6 @@
 //!   ≈5·N bytes for a fully indexed bank — 1 byte of `SEQ` + 4 bytes of
 //!   postings per position).
 
-pub mod linked;
 pub mod mask;
 pub mod mmap;
 pub mod persist;
@@ -61,11 +57,8 @@ pub(crate) mod section;
 pub mod seedcode;
 pub mod structure;
 
-pub use linked::LinkedBankIndex;
 pub use mask::MaskSet;
 pub use mmap::{attach_index_file, map_index_file, AttachMode, Mapping};
 pub use persist::{read_index_file, write_index_file, IndexMeta, PersistError};
 pub use seedcode::{RollingCoder, SeedCoder, MAX_SEED_LEN};
-pub use structure::{
-    BankIndex, BuildStrategy, IndexBackend, IndexConfig, IndexStats, PopulatedRows,
-};
+pub use structure::{BankIndex, IndexBackend, IndexConfig, IndexStats, PopulatedRows};

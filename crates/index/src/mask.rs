@@ -127,14 +127,8 @@ impl MaskSet {
 
     /// The backing bit words: position `p` is bit `p % 64` of word
     /// `p / 64` (set = masked). The slice covers `len().div_ceil(64)`
-    /// words; bits at or beyond `len()` are always clear.
-    ///
-    /// This is the word-level accessor the rolled order guard builds on:
-    /// an extension walk moves by one position per step, so a cursor over
-    /// these words answers one membership query per step with a shift,
-    /// touching a new word only every 64 steps — instead of re-deriving
-    /// `word/bit` from scratch per random-access [`MaskSet::contains`]
-    /// probe.
+    /// words; bits at or beyond `len()` are always clear. The index's
+    /// persisted bit-set section is written from these words.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.bits

@@ -74,10 +74,9 @@
 //! The one-bit-per-position `indexed` set is retained for the ORIS order
 //! guard: during extension the guard must ask "would the global enumeration
 //! visit a seed at this position?" — a question about *positions*, which
-//! the position-grouped CSR rows cannot answer in O(1). The guard reads the
-//! set two ways: random-access probes via [`BankIndex::is_indexed`], and —
-//! the hot path — a rolling word cursor over [`BankIndex::indexed_words`]
-//! that walks with the extension (see `oris-align::ungapped`).
+//! the position-grouped CSR rows cannot answer in O(1). The guard probes
+//! the set via [`BankIndex::is_indexed`] once per candidate seed (see
+//! `oris-align::ungapped`).
 //!
 //! **Exclusion provenance.** The build also records *why* positions are
 //! absent from the index. Windows can be missing for two very different
@@ -102,7 +101,6 @@
 use std::ops::Range;
 
 use oris_seqio::Bank;
-use rayon::prelude::*;
 
 use crate::mask::MaskSet;
 use crate::section::Section;
@@ -169,32 +167,6 @@ impl IndexConfig {
         self.backend = backend;
         self
     }
-}
-
-/// How the CSR arrays are assembled from the rolling scan's
-/// `(position, code)` pairs. Both strategies produce byte-identical
-/// indexes (pinned by a proptest); they differ only in build cost.
-/// The strategy applies to the **dense** backend's offsets assembly; a
-/// sparse build is a single stable sort by code and ignores it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BuildStrategy {
-    /// One counting sort across the entire `4^W` code space: a count
-    /// pass, a full-array exclusive prefix-sum, and a scatter. The
-    /// prefix-sum is a serial, loop-carried sweep over all `4^W + 1`
-    /// offsets slots even when the bank populates a handful of codes —
-    /// the cost the ROADMAP flagged for small banks. Kept as the
-    /// reference fallback and benchmark baseline.
-    FullSweep,
-    /// Radix-partitioned counting sort: codes are partitioned by their
-    /// high bits, pairs are bucketed per partition (one stable counting
-    /// sort), and each partition then counting-sorts its own slice of
-    /// the offsets array independently. A partition with no occurrences
-    /// fills its offsets slice with one constant (a vectorized
-    /// `slice::fill`, not a data-dependent sum), so a small bank pays
-    /// the serial prefix-sum only over the few partitions it touches;
-    /// non-empty partitions are independent and processed in parallel.
-    #[default]
-    RadixPartitioned,
 }
 
 /// Occupancy and footprint statistics for a built index.
@@ -340,18 +312,6 @@ impl BankIndex {
         cfg: IndexConfig,
         masked: impl Fn(usize) -> bool,
     ) -> BankIndex {
-        Self::build_filtered_with(bank, cfg, masked, BuildStrategy::default())
-    }
-
-    /// Builds the index under an explicit [`BuildStrategy`] (the layout
-    /// benches compare [`BuildStrategy::FullSweep`] against the default
-    /// radix-partitioned build; both produce identical indexes).
-    pub fn build_filtered_with(
-        bank: &Bank,
-        cfg: IndexConfig,
-        masked: impl Fn(usize) -> bool,
-        strategy: BuildStrategy,
-    ) -> BankIndex {
         assert!(cfg.stride >= 1, "stride must be at least 1");
         let coder = SeedCoder::new(cfg.w);
         let data = bank.data();
@@ -391,10 +351,7 @@ impl BankIndex {
 
         // Pass 2: assemble the rows.
         let (rows, positions, distinct) = if dense {
-            let (offsets, positions) = match strategy {
-                BuildStrategy::FullSweep => full_sweep_rows(coder.num_seeds(), &pairs),
-                BuildStrategy::RadixPartitioned => radix_rows(cfg.w, coder.num_seeds(), &pairs),
-            };
+            let (offsets, positions) = full_sweep_rows(coder.num_seeds(), &pairs);
             let distinct = offsets.windows(2).filter(|p| p[0] < p[1]).count();
             (
                 RowIndex::Dense {
@@ -760,12 +717,8 @@ impl BankIndex {
     }
 
     /// The indexed-occurrence bit-set as raw 64-bit words (bit `p % 64`
-    /// of word `p / 64` set ⟺ [`BankIndex::is_indexed`]`(p)`).
-    ///
-    /// The rolled order guard walks these words with a cursor that
-    /// advances one bit per extension step, replacing two random-access
-    /// probes per candidate seed with a shift (and one word load every 64
-    /// steps).
+    /// of word `p / 64` set ⟺ [`BankIndex::is_indexed`]`(p)`) — the
+    /// bit-set section of the on-disk format.
     #[inline]
     pub fn indexed_words(&self) -> &[u64] {
         self.indexed.words()
@@ -908,7 +861,8 @@ impl<'a> Iterator for PopulatedRows<'a> {
     }
 }
 
-/// One counting sort across the whole code space ([`BuildStrategy::FullSweep`]).
+/// Dense-backend row assembly: one counting sort across the whole code
+/// space (count, exclusive prefix-sum, scatter).
 fn full_sweep_rows(num_seeds: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
     // Count per code (stored at `offsets[code]` for now)...
     let mut offsets = vec![0u32; num_seeds + 1];
@@ -966,110 +920,6 @@ fn sparse_rows(mut pairs: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
             .expect("position count is u32-bounded by the bank-length guard"),
     );
     (codes, row_offsets, positions)
-}
-
-/// Number of *bases* of code prefix used as the partition key: up to
-/// `4^RADIX_BASES = 1024` partitions, each owning a contiguous,
-/// equal-width range of seed codes.
-const RADIX_BASES: usize = 5;
-
-/// Radix-partitioned counting sort ([`BuildStrategy::RadixPartitioned`]).
-///
-/// The pairs are first bucketed by the high `RADIX_BASES` bases of their
-/// code (a stable counting sort over ≤ 1024 buckets, so each bucket keeps
-/// its pairs in ascending position order). Each partition then owns two
-/// disjoint slices — its stretch of the offsets array and its stretch of
-/// the postings array — and fills them independently: empty partitions
-/// write one constant (`fill`, a memset-speed sweep instead of the
-/// loop-carried prefix-sum), non-empty partitions run the count /
-/// prefix-sum / scatter dance locally and in parallel.
-fn radix_rows(w: usize, num_seeds: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
-    let part_bases = RADIX_BASES.min(w);
-    let parts = 1usize << (2 * part_bases);
-    // Codes per partition; exact because `part_bases <= w`.
-    let width = num_seeds / parts;
-    let shift = 2 * u32::try_from(w - part_bases).expect("seed width fits u32");
-
-    // Stable bucketing by partition: histogram, exclusive prefix over the
-    // (small) partition table, scatter.
-    let mut part_counts = vec![0u32; parts];
-    for &(_, code) in pairs {
-        part_counts[(code >> shift) as usize] += 1;
-    }
-    let mut pbase = vec![0u32; parts + 1];
-    for p in 0..parts {
-        pbase[p + 1] = pbase[p] + part_counts[p];
-    }
-    let mut bucketed = vec![(0u32, 0u32); pairs.len()];
-    let mut cursor = pbase.clone();
-    for &pair in pairs {
-        let p = (pair.1 >> shift) as usize;
-        bucketed[cursor[p] as usize] = pair;
-        cursor[p] += 1;
-    }
-
-    // Because postings are grouped by code and codes are grouped by
-    // partition, partition `p`'s postings occupy exactly
-    // `positions[pbase[p]..pbase[p+1]]` — the same extent as its bucketed
-    // pairs. Split both output arrays into per-partition mutable slices so
-    // the fills are independent.
-    // Per-partition work unit: (partition id, offsets stretch, postings
-    // stretch, this partition's bucketed pairs).
-    type PartitionTask<'t> = (usize, &'t mut [u32], &'t mut [u32], &'t [(u32, u32)]);
-    let mut offsets = vec![0u32; num_seeds + 1];
-    let mut positions = vec![0u32; pairs.len()];
-    {
-        let mut tasks: Vec<PartitionTask<'_>> = Vec::with_capacity(parts);
-        let mut off_rest: &mut [u32] = &mut offsets[..num_seeds];
-        let mut pos_rest: &mut [u32] = &mut positions[..];
-        for p in 0..parts {
-            let (off_chunk, rest) = off_rest.split_at_mut(width);
-            off_rest = rest;
-            let (pos_chunk, rest) = pos_rest.split_at_mut(part_counts[p] as usize);
-            pos_rest = rest;
-            tasks.push((
-                p,
-                off_chunk,
-                pos_chunk,
-                &bucketed[pbase[p] as usize..pbase[p + 1] as usize],
-            ));
-        }
-        tasks
-            .into_par_iter()
-            .for_each(|(p, off_chunk, pos_chunk, pair_chunk)| {
-                let base = pbase[p];
-                if pair_chunk.is_empty() {
-                    // Every row in an empty partition starts (and ends) at
-                    // the partition base.
-                    off_chunk.fill(base);
-                    return;
-                }
-                let code_lo = (p as u32) << shift;
-                for &(_, code) in pair_chunk {
-                    off_chunk[(code - code_lo) as usize] += 1;
-                }
-                let mut sum = base;
-                for slot in off_chunk.iter_mut() {
-                    let count = *slot;
-                    *slot = sum;
-                    sum += count;
-                }
-                for &(pos, code) in pair_chunk {
-                    let slot = &mut off_chunk[(code - code_lo) as usize];
-                    pos_chunk[(*slot - base) as usize] = pos;
-                    *slot += 1;
-                }
-                // Same end-of-row → start-of-row shift as the full sweep,
-                // local to the partition: the first row starts at the
-                // partition base, and the last row's end is the next
-                // partition's base (written by that partition's own fill).
-                off_chunk.copy_within(0..width - 1, 1);
-                off_chunk[0] = base;
-            });
-    }
-    offsets[num_seeds] =
-        u32::try_from(pairs.len()).expect("position count is u32-bounded by the bank-length guard");
-    (offsets, positions)
 }
 
 #[cfg(test)]
@@ -1488,36 +1338,6 @@ mod tests {
             prop_assert_eq!(ds.distinct_seeds, ss.distinct_seeds);
             prop_assert_eq!(ds.indexed_positions, ss.indexed_positions);
             prop_assert_eq!(ds.max_chain_len, ss.max_chain_len);
-        }
-
-        /// The radix-partitioned build and the full-sweep fallback produce
-        /// identical indexes — same offsets, postings, bit-set and
-        /// provenance — for random banks, widths, strides and masks.
-        /// (Dense-backend property: the strategy only affects the dense
-        /// offsets assembly.)
-        #[test]
-        fn radix_build_equals_full_sweep(
-            seqs in proptest::collection::vec("[ACGTN]{0,60}", 1..4),
-            w in 2usize..8,
-            stride in 1usize..3,
-            mask_mod in 1usize..9,
-        ) {
-            let refs: Vec<&str> = seqs.iter().map(|s| s.as_str()).collect();
-            let bank = bank_of(&refs);
-            let cfg = IndexConfig { stride, ..IndexConfig::full(w) }
-                .with_backend(IndexBackend::Dense);
-            let masked = |p: usize| mask_mod > 1 && p.is_multiple_of(mask_mod);
-            let radix = BankIndex::build_filtered_with(
-                &bank, cfg, masked, BuildStrategy::RadixPartitioned,
-            );
-            let sweep = BankIndex::build_filtered_with(
-                &bank, cfg, masked, BuildStrategy::FullSweep,
-            );
-            prop_assert_eq!(radix.dense_offsets().unwrap(), sweep.dense_offsets().unwrap());
-            prop_assert_eq!(radix.positions(), sweep.positions());
-            prop_assert_eq!(radix.indexed_words(), sweep.indexed_words());
-            prop_assert_eq!(radix.is_fully_indexed(), sweep.is_fully_indexed());
-            prop_assert_eq!(radix.stats(), sweep.stats());
         }
 
         /// indexed_positions equals the number of valid windows.

@@ -19,13 +19,18 @@ proptest! {
 
     /// THE paper invariant (section 2.2): with the ordered-seed rule,
     /// every HSP is generated exactly once, and the set of HSPs equals
-    /// the deduplicated set produced by unguarded extension of every hit.
+    /// the deduplicated set produced by unguarded extension of every
+    /// *indexed* hit — also when bank 1 is masked (every `mask_mod`-th
+    /// position; 1 = unmasked) and bank 2 is indexed with a stride, where
+    /// the order guard must probe both indexes.
     #[test]
     fn ordered_rule_generates_each_hsp_exactly_once(
         seqs1 in proptest::collection::vec("[ACGT]{30,90}", 1..3),
         seqs2 in proptest::collection::vec("[ACGT]{30,90}", 1..3),
         core in "[ACGT]{25,50}",
         w in 5usize..8,
+        mask_mod in 1usize..7,
+        stride in 1usize..3,
     ) {
         // Plant the shared core into both banks so real HSPs exist.
         let mut v1 = seqs1.clone();
@@ -50,13 +55,15 @@ proptest! {
             xdrop_ungapped: 10_000,
             ..oris::core::OrisConfig::small(w)
         };
-        let i1 = BankIndex::build(&b1, IndexConfig::full(w));
-        let i2 = BankIndex::build(&b2, IndexConfig::full(w));
+        let i1 = BankIndex::build_filtered(&b1, IndexConfig::full(w), |p| {
+            mask_mod > 1 && p.is_multiple_of(mask_mod)
+        });
+        let i2 = BankIndex::build(&b2, IndexConfig { stride, ..IndexConfig::full(w) });
 
         // Ordered generation.
         let (ordered, _) = oris::core::step2::find_hsps(&b1, &i1, &b2, &i2, &cfg);
 
-        // Brute force: extend every hit unguarded, dedup by extent.
+        // Brute force: extend every indexed hit unguarded, dedup by extent.
         let params = UngappedParams {
             w,
             xdrop: cfg.xdrop_ungapped,
