@@ -34,6 +34,21 @@ fn homologous_pair() -> (Vec<u8>, Vec<u8>, usize) {
     (frame(&base), frame(&variant), seed_pos + 1)
 }
 
+/// The homologous pair of [`homologous_pair`] with a 1 Mbp random,
+/// sentinel-free tail after each copy: the shape of an HSP inside a
+/// chromosome, where a tape runs far past the alignment's end.
+fn homologous_pair_with_tail() -> (Vec<u8>, Vec<u8>, usize) {
+    let (mut d1, mut d2, pos) = homologous_pair();
+    let mut rng = StdRng::seed_from_u64(43);
+    for d in [&mut d1, &mut d2] {
+        let end = d.pop();
+        debug_assert_eq!(end, Some(oris_seqio::SENTINEL));
+        d.extend(oris_simulate::random_codes(&mut rng, 1 << 20, 0.5));
+        d.push(oris_seqio::SENTINEL);
+    }
+    (d1, d2, pos)
+}
+
 fn bench_ungapped(c: &mut Criterion) {
     let (d1, d2, pos) = homologous_pair();
     let coder = SeedCoder::new(11);
@@ -68,6 +83,10 @@ fn bench_gapped(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("xdrop25_2kb", |b| {
         b.iter(|| extend_gapped_both(&d1, &d2, pos, pos, &params))
+    });
+    let (t1, t2, tpos) = homologous_pair_with_tail();
+    g.bench_function("xdrop25_2kb_1mb_tail", |b| {
+        b.iter(|| extend_gapped_both(&t1, &t2, tpos, tpos, &params))
     });
     g.finish();
 }

@@ -20,7 +20,10 @@
 //! Parallel mode groups HSPs by `(query record, subject record)` — gapped
 //! alignments never cross sentinel boundaries, so groups are independent —
 //! and processes groups with rayon, preserving deterministic output by
-//! sorting groups and concatenating in order.
+//! sorting groups and concatenating in order. Each worker's share of a
+//! wave owns one [`GappedScratch`] (the DP row buffers and traceback
+//! pool), and the serial per-group loop runs every extension on it, so an
+//! extension allocates only its operation list.
 //!
 //! The streaming pipeline enters through [`gapped_alignments_into`]: each
 //! group's alignments are handed to a [`Step3Emit`] receiver as soon as
@@ -30,7 +33,7 @@
 //! of the whole query's. [`gapped_alignments`] is the collect-everything
 //! wrapper over the same machinery.
 
-use oris_align::{extend_gapped_both, AlignStats, GappedParams};
+use oris_align::{AlignStats, GappedParams, GappedScratch};
 use oris_seqio::Bank;
 use rayon::prelude::*;
 
@@ -101,9 +104,15 @@ impl Step3Stats {
 }
 
 /// Extends one HSP from its midpoint and packages the result.
-fn extend_one(bank1: &Bank, bank2: &Bank, hsp: &Hsp, params: &GappedParams) -> GappedAlignment {
+fn extend_one(
+    bank1: &Bank,
+    bank2: &Bank,
+    hsp: &Hsp,
+    params: &GappedParams,
+    scratch: &mut GappedScratch,
+) -> GappedAlignment {
     let (m1, m2) = hsp.midpoint();
-    let (merged, start1, start2) = extend_gapped_both(bank1.data(), bank2.data(), m1, m2, params);
+    let (merged, start1, start2) = scratch.extend_both(bank1.data(), bank2.data(), m1, m2, params);
     let stats = AlignStats::from_ops(&merged.ops);
     // Diagonal range along the path.
     let mut diag = start1 as i64 - start2 as i64;
@@ -134,12 +143,14 @@ fn extend_one(bank1: &Bank, bank2: &Bank, hsp: &Hsp, params: &GappedParams) -> G
     }
 }
 
-/// Sequential step 3 over diagonal-sorted HSPs.
+/// Sequential step 3 over diagonal-sorted HSPs. Every extension runs on
+/// `scratch`, the DP buffers of the calling worker.
 fn gapped_serial(
     bank1: &Bank,
     bank2: &Bank,
     hsps: &[Hsp],
     params: &GappedParams,
+    scratch: &mut GappedScratch,
 ) -> (Vec<GappedAlignment>, Step3Stats) {
     let mut stats = Step3Stats::default();
     let mut out: Vec<GappedAlignment> = Vec::new();
@@ -159,7 +170,7 @@ fn gapped_serial(
             continue;
         }
         stats.extended += 1;
-        let aln = extend_one(bank1, bank2, hsp, params);
+        let aln = extend_one(bank1, bank2, hsp, params, scratch);
         active.push(out.len());
         out.push(aln);
     }
@@ -224,12 +235,14 @@ fn gapped_grouped(
 
     let mut stats = Step3Stats::default();
     for wave_keys in keys.chunks(wave.max(1)) {
+        // One DP scratch per worker chunk of the wave, reused by every
+        // extension of the groups that worker runs.
         let results: Vec<(Vec<GappedAlignment>, Step3Stats)> = wave_keys
             .par_iter()
-            .map(|k| {
+            .map_init(GappedScratch::new, |scratch, k| {
                 // Within a group HSPs keep their global diagonal order.
                 let group = &groups[k];
-                gapped_serial(bank1, bank2, group, &params)
+                gapped_serial(bank1, bank2, group, &params, scratch)
             })
             .collect();
         for (v, s) in results {

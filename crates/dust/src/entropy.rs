@@ -47,7 +47,10 @@ impl EntropyMasker {
         EntropyMasker { window, min_bits }
     }
 
-    /// Shannon entropy (bits) of base counts.
+    /// Shannon entropy (bits) of base counts: the per-window definition
+    /// that [`Self::mask`] reproduces from its term table, and that the
+    /// tests check it against.
+    #[cfg(test)]
     fn entropy_bits(counts: &[u32; 4], total: u32) -> f64 {
         if total == 0 {
             return 2.0;
@@ -55,17 +58,34 @@ impl EntropyMasker {
         let mut h = 0.0f64;
         for &c in counts {
             if c > 0 {
-                let p = c as f64 / total as f64;
-                h -= p * p.log2();
+                h -= Self::term(c, total);
             }
         }
         h
     }
 
+    /// `p·log2 p` for `p = c / total`: one base's share of the entropy.
+    fn term(c: u32, total: u32) -> f64 {
+        let p = c as f64 / total as f64;
+        p * p.log2()
+    }
+
     /// Masks low-entropy regions of `bank` (global positions).
+    ///
+    /// Only full windows are tested, so the entropy terms come from a
+    /// table indexed by count, built once per call. The table holds the
+    /// very values `entropy_bits` computes and the sum runs over
+    /// the counts in the same order; a zero count reads `0.0`, and
+    /// subtracting `+0.0` leaves any float unchanged. Each window's
+    /// entropy, and so the mask, is therefore bit-identical to evaluating
+    /// `entropy_bits` per window.
     pub fn mask(&self, bank: &Bank) -> MaskSet {
         let data = bank.data();
         let mut mask = MaskSet::new(data.len());
+        let window = self.window as u32;
+        let terms: Vec<f64> = (0..=window)
+            .map(|c| if c == 0 { 0.0 } else { Self::term(c, window) })
+            .collect();
 
         for rec_idx in 0..bank.num_sequences() {
             let rec = bank.record(rec_idx);
@@ -87,11 +107,11 @@ impl EntropyMasker {
                     counts[seq[i - self.window] as usize] -= 1;
                     run_start = i + 1 - self.window;
                 }
-                let total = (i + 1 - run_start) as u32;
-                if total as usize == self.window
-                    && Self::entropy_bits(&counts, total) < self.min_bits
-                {
-                    mask.set_range(rec.start + run_start, rec.start + i + 1);
+                if i + 1 - run_start == self.window {
+                    let h = counts.iter().fold(0.0f64, |h, &n| h - terms[n as usize]);
+                    if h < self.min_bits {
+                        mask.set_range(rec.start + run_start, rec.start + i + 1);
+                    }
                 }
                 i += 1;
             }
@@ -104,6 +124,7 @@ impl EntropyMasker {
 mod tests {
     use super::*;
     use oris_seqio::BankBuilder;
+    use proptest::prelude::*;
 
     fn bank(s: &str) -> Bank {
         let mut b = BankBuilder::new();
@@ -170,5 +191,51 @@ mod tests {
     fn entropy_of_uniform_is_two_bits() {
         assert!((EntropyMasker::entropy_bits(&[25, 25, 25, 25], 100) - 2.0).abs() < 1e-12);
         assert_eq!(EntropyMasker::entropy_bits(&[100, 0, 0, 0], 100), 0.0);
+    }
+
+    /// Masks full windows by evaluating [`EntropyMasker::entropy_bits`]
+    /// directly: the per-window definition the table-driven `mask`
+    /// must reproduce.
+    fn direct_mask(m: &EntropyMasker, bank: &Bank) -> MaskSet {
+        let mut mask = MaskSet::new(bank.data().len());
+        for r in 0..bank.num_sequences() {
+            let rec = bank.record(r);
+            let seq = bank.sequence(r);
+            for end in m.window..=seq.len() {
+                let win = &seq[end - m.window..end];
+                if !win.iter().all(|&c| is_nucleotide(c)) {
+                    continue;
+                }
+                let mut counts = [0u32; 4];
+                for &c in win {
+                    counts[c as usize] += 1;
+                }
+                if EntropyMasker::entropy_bits(&counts, m.window as u32) < m.min_bits {
+                    mask.set_range(rec.start + end - m.window, rec.start + end);
+                }
+            }
+        }
+        mask
+    }
+
+    proptest! {
+        /// The table-driven mask equals the direct per-window entropy
+        /// test on sequences with ambiguous bases, over windows 4..=64
+        /// and thresholds across [0, 2] bits.
+        #[test]
+        fn table_mask_matches_direct_entropy(
+            seqs in proptest::collection::vec("[ACGTN]{0,150}", 1..4),
+            low_complexity in "[AT]{0,60}",
+            window in 4usize..65,
+            millibits in 0u32..2001,
+        ) {
+            let mut b = BankBuilder::new();
+            for (i, s) in seqs.iter().enumerate() {
+                b.push_str(&format!("s{i}"), &format!("{s}{low_complexity}")).unwrap();
+            }
+            let bank = b.finish();
+            let m = EntropyMasker::new(window, millibits as f64 / 1000.0);
+            prop_assert_eq!(m.mask(&bank), direct_mask(&m, &bank));
+        }
     }
 }
